@@ -18,6 +18,8 @@ does not chatter at a boundary):
 * **tier 3** — shed: the gateway refuses admission with an explicit
   ``shed`` disposition rather than queueing work it cannot finish.
 
+The hysteresis itself is :class:`HysteresisLadder`, which the tiered
+serving ladder (:class:`~repro.tiering.policy.TierLadder`) shares.
 Every tier change is appended to :attr:`BrownoutController.transitions`
 (time, from, to); time-to-SLO-recovery after a storm is read off this
 log as the last return to tier 0.  The controller is pure arithmetic on
@@ -59,18 +61,8 @@ class BrownoutConfig:
     downgrade_models: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if len(self.enter_pressure) != MAX_TIER:
-            raise ValueError(f"enter_pressure needs {MAX_TIER} thresholds")
-        if len(self.exit_pressure) != MAX_TIER:
-            raise ValueError(f"exit_pressure needs {MAX_TIER} thresholds")
-        if list(self.enter_pressure) != sorted(self.enter_pressure):
-            raise ValueError("enter_pressure must be ascending")
-        if list(self.exit_pressure) != sorted(self.exit_pressure):
-            raise ValueError("exit_pressure must be ascending")
-        for exit_p, enter_p in zip(self.exit_pressure, self.enter_pressure):
-            if not exit_p < enter_p:
-                raise ValueError(
-                    "each exit_pressure must sit below its enter_pressure")
+        HysteresisLadder.validate(self.enter_pressure, self.exit_pressure,
+                                  MAX_TIER)
         if not 0 < self.deep_trim_fraction <= self.trim_fraction <= 1:
             raise ValueError(
                 "need 0 < deep_trim_fraction <= trim_fraction <= 1")
@@ -78,13 +70,63 @@ class BrownoutConfig:
             raise ValueError("min_budget_tokens must be at least 1")
 
 
-class BrownoutController:
+class HysteresisLadder:
+    """A hysteretic level ladder driven by observed gateway pressure.
+
+    Level ``k`` engages when pressure reaches ``enter[k]`` and
+    disengages when it falls below ``exit[k]``; each exit threshold
+    sits strictly below its entry threshold, so the ladder does not
+    chatter at a boundary.  It moves at most one level per observation
+    in each direction, so a pressure spike walks the ladder step by
+    step (each step visible in :attr:`transitions`) instead of
+    teleporting to the top.
+    """
+
+    def __init__(self, enter: tuple[float, ...], exit_: tuple[float, ...]):
+        self.enter = tuple(enter)
+        self.exit = tuple(exit_)
+        self.level = 0
+        #: Deepest level ever engaged.
+        self.max_level = 0
+        #: (time, from_level, to_level) for every move.
+        self.transitions: list[tuple[float, int, int]] = []
+
+    @staticmethod
+    def validate(enter: tuple[float, ...], exit_: tuple[float, ...],
+                 rungs: int) -> None:
+        """Raise ValueError unless the thresholds form a ``rungs`` ladder."""
+        if len(enter) != rungs or len(exit_) != rungs:
+            raise ValueError(
+                f"enter_pressure and exit_pressure need {rungs} rungs each")
+        if list(enter) != sorted(enter):
+            raise ValueError("enter_pressure must be ascending")
+        if list(exit_) != sorted(exit_):
+            raise ValueError("exit_pressure must be ascending")
+        if any(not x < e for e, x in zip(enter, exit_)):
+            raise ValueError(
+                "each exit_pressure must sit below its enter_pressure")
+
+    def observe(self, t: float, pressure: float) -> int:
+        """Fold one pressure sample; returns the level now in force."""
+        level = self.level
+        if level < len(self.enter) and pressure >= self.enter[level]:
+            level += 1
+        elif level > 0 and pressure < self.exit[level - 1]:
+            level -= 1
+        if level != self.level:
+            self.transitions.append((t, self.level, level))
+            self.level = level
+            self.max_level = max(self.max_level, level)
+        return level
+
+
+class BrownoutController(HysteresisLadder):
     """Hysteretic tier ladder driven by observed fleet pressure."""
 
     def __init__(self, config: BrownoutConfig | None = None):
         self.config = config or BrownoutConfig()
-        self.tier = 0
-        self.transitions: list[tuple[float, int, int]] = []
+        super().__init__(self.config.enter_pressure,
+                         self.config.exit_pressure)
         #: Requests whose budgets were trimmed (tiers 1-2).
         self.trimmed = 0
         #: Requests steered toward downgrade models (tier 2).
@@ -92,24 +134,10 @@ class BrownoutController:
         #: Requests refused admission (tier 3).
         self.shed = 0
 
-    # ------------------------------------------------------------------
-    def observe(self, t: float, pressure: float) -> int:
-        """Fold one pressure sample; returns the tier now in force.
-
-        Moves at most one tier per observation in each direction, so a
-        pressure spike walks the ladder step-by-step (each step visible
-        in the transition log) instead of teleporting to shed.
-        """
-        cfg = self.config
-        tier = self.tier
-        if tier < MAX_TIER and pressure >= cfg.enter_pressure[tier]:
-            tier += 1
-        elif tier > 0 and pressure < cfg.exit_pressure[tier - 1]:
-            tier -= 1
-        if tier != self.tier:
-            self.transitions.append((t, self.tier, tier))
-            self.tier = tier
-        return self.tier
+    @property
+    def tier(self) -> int:
+        """The degradation tier now in force."""
+        return self.level
 
     # ------------------------------------------------------------------
     def should_shed(self) -> bool:
@@ -145,7 +173,7 @@ class BrownoutController:
     # ------------------------------------------------------------------
     def max_tier_reached(self) -> int:
         """Deepest tier the controller ever engaged."""
-        return max((to for _, _, to in self.transitions), default=self.tier)
+        return self.max_level
 
     def recovered_at(self) -> float | None:
         """Time of the last return to tier 0 (None if never degraded

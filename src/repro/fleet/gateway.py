@@ -2,13 +2,14 @@
 
 The gateway co-simulates N :class:`~repro.fleet.device.FleetDevice`
 instances against one merged event timeline.  Global events — request
-arrivals and scheduled device outages (crashes and flap cycles) — are
-processed in time order; before each event every device is advanced to
-the event time through the incremental serving seam (``run_until``),
-then the event either routes a request or downs a device (evacuating
-its in-flight work for immediate re-routing, with the original arrival
-time and deadline preserved and a small re-dispatch backoff added).
-After the last event, every device drains to completion.
+arrivals, scheduled device outages (crashes and flap cycles), and
+controller ticks — are popped from one heap in time order; before each
+event every busy device is advanced to the event time through the
+incremental serving seam (``run_until``), then the event either routes
+a request or downs a device (evacuating its in-flight work for
+immediate re-routing, with the original arrival time and deadline
+preserved and a small re-dispatch backoff added).  After the last
+event, every device drains to completion.
 
 Self-healing (this layer's additions over plain routing):
 
@@ -67,14 +68,15 @@ version (bumped on crashes, breaker transitions, and probe-slot
 consumption, with a time-based expiry for outage recoveries and breaker
 cool-downs), rendezvous digests are cached per (session, device), a
 gateway-maintained outstanding counter replaces the full-fleet pressure
-scan, and the per-event advance/poll sweep skips idle devices (exact:
-``run_until`` is a no-op without work, and new outcome records require
-the device to have run).  ``legacy_routing=True`` restores the
-uncached per-event scans — the honest baseline for the routing-speedup
-benchmark.  Population-scale streams bypass the per-event loop
-entirely: :meth:`FleetGateway.run_trace` partitions a chunked
-column trace (round-robin or prefix-affinity) and drains each share on
-the array-backed vector core, reporting through the column-native
+scan, and the per-event sweep (advance, then poll, then hedge) touches
+only devices holding work (exact: ``run_until`` is a no-op without
+work, and new outcome records require the device to have run).
+``legacy_routing=True`` restores the uncached per-event scans — the
+honest baseline for the routing-speedup benchmark.  Population-scale
+streams bypass the per-event loop entirely:
+:meth:`FleetGateway.run_trace` partitions a chunked column trace
+(round-robin or prefix-affinity) and drains each share on the
+array-backed vector core, reporting through the column-native
 :class:`~repro.fleet.trace.FleetTraceReport`.
 """
 
@@ -84,6 +86,7 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -268,12 +271,11 @@ class FleetGateway:
         self._full_capacity = sum(d.spec.max_batch_size
                                   for d in self.devices)
         self._name_bytes = tuple(d.name.encode() for d in self.devices)
-        # Tiered-DAG state: empty/False on every untiered run, so the
-        # hot paths below stay byte-identical to the pre-tiering
-        # gateway.  ``_tier_pref`` maps a child request id to its
-        # stage's preferred model pool; ``_tier_out_tokens`` feeds
-        # budget refunds.
-        self._tiering_active = False
+        # Tiered-DAG state: empty on every untiered run, so the hot
+        # paths below stay byte-identical to the pre-tiering gateway.
+        # ``_tier_pref`` maps a child request id to its stage's
+        # preferred model pool; ``_tier_out_tokens`` feeds budget
+        # refunds.
         self._tier_pref: dict[int, tuple[str, ...]] = {}
         self._tier_out_tokens: dict[int, int] = {}
 
@@ -393,23 +395,19 @@ class FleetGateway:
         recovery time (a permanent whole-fleet outage): the caller must
         shed with an explicit disposition instead of parking forever.
         """
-        if not self._up(t):
+        up = self._up(t)
+        if up:
+            up = self._routable(t)
+            if self.autoscale is not None and not up:
+                device = self._autoscale_emergency(t)
+                if device is not None:
+                    return device
+        if not up:
+            # No capacity up: park on the earliest-recovering device.
             recovering = [d for d in self.devices
                           if math.isfinite(d.down_until())]
-            if not recovering:
-                return None
-            # Whole fleet down: park on the earliest-recovering device.
-            return min(recovering, key=lambda d: (d.down_until(), d.name))
-        up = self._routable(t)
-        if self.autoscale is not None and not up:
-            device = self._autoscale_emergency(t)
-            if device is not None:
-                return device
-            recovering = [d for d in self.devices
-                          if math.isfinite(d.down_until())]
-            if not recovering:
-                return None
-            return min(recovering, key=lambda d: (d.down_until(), d.name))
+            return min(recovering, key=lambda d: (d.down_until(), d.name),
+                       default=None)
         if self._tier_pref:
             # Tiered stage steering: Deep stages prefer the big-model
             # devices, Fast stages the quantized replicas.  A soft
@@ -438,7 +436,7 @@ class FleetGateway:
         # (stable under fleet changes); stateless requests balance.
         if freq.session is not None:
             if (self.legacy_routing or self.brownout is not None
-                    or self.autoscale is not None or self._tiering_active):
+                    or self.autoscale is not None or self._tier_pref):
                 return max(up, key=lambda d: (
                     self._rendezvous_weight(freq.session, d.name), d.name))
             # The winner over a given pool is a pure function of the
@@ -477,6 +475,16 @@ class FleetGateway:
             return self._by_name[name]
         return None
 
+    def _allow(self, device: FleetDevice, t: float) -> None:
+        """Consume a breaker probe slot for work sent to ``device``."""
+        breaker = self.health[device.name].breaker
+        before = breaker.state
+        breaker.allow(t)
+        if before is not BreakerState.CLOSED or breaker.state is not before:
+            # A probe slot was consumed or the breaker transitioned:
+            # the cached routable pool may no longer admit this device.
+            self._topo_bump()
+
     def _route(self, freq: FleetRequest, t: float,
                ready_s: float | None = None) -> FleetDevice | None:
         device = self._pick(freq, t)
@@ -484,13 +492,7 @@ class FleetGateway:
         if device is None:
             self._finish(rid, "shed")
             return None
-        breaker = self.health[device.name].breaker
-        before = breaker.state
-        breaker.allow(t)  # consume a probe slot
-        if before is not BreakerState.CLOSED or breaker.state is not before:
-            # A probe slot was consumed or the breaker transitioned:
-            # the cached routable pool may no longer admit this device.
-            self._topo_bump()
+        self._allow(device, t)
         ready = ready_s
         if device.is_down(t):
             # Queued behind the outage; admission starts at recovery.
@@ -548,7 +550,7 @@ class FleetGateway:
             self._copies.get(rid, set()).discard(device.name)
             return
         self._disposition[rid] = "served"
-        if self._tiering_active:
+        if rid in self._tier_pref:
             self._tier_out_tokens[rid] = int(record.output_tokens)
         if self._hedge_target.get(rid) == device.name:
             self.hedge_wins += 1
@@ -578,9 +580,26 @@ class FleetGateway:
             # the disposition without moving the gateway counters.
             self._disposition[rid] = "shed" if kind == "shed" else "failed"
 
-    def _poll(self, t: float) -> None:
+    def _sweep(self, t: float) -> None:
+        """The per-event sweep: advance, poll, then hedge.
+
+        Only devices holding work are touched.  Skipping the idle ones
+        is exact: ``run_until`` never moves the clock of a run with no
+        work, and outcome records only appear on devices that ran.  The
+        busy set is taken once, before anything moves: advancing every
+        busy device before polling any keeps a hedge winner's
+        cancellation ordered after the loser's own advance.
+        """
+        outstanding = self._outstanding
+        busy = [d for d in self.devices if outstanding[d.name]]
+        for device in busy:
+            device.advance_to(t)
+        self._poll(t, busy)
+        self._maybe_hedge(t)
+
+    def _poll(self, t: float, devices) -> None:
         """Fold new per-device outcomes into health and dispositions."""
-        for device in self.devices:
+        for device in devices:
             run = device.run
             name = device.name
             start = self._served_cursor[name]
@@ -596,30 +615,6 @@ class FleetGateway:
                 self._dropped_cursor[name] = len(run.dropped)
             if not device.is_down(t):
                 self.health[name].heartbeat(t)
-
-    def _advance_poll(self, device: FleetDevice, t: float) -> None:
-        """Advance one device and fold its new outcome records.
-
-        The fused per-device form of advance + :meth:`_poll`, minus the
-        heartbeat (only :meth:`DeviceHealth.score` reads heartbeats and
-        nothing in routing or reports reads the score).  The fused loop
-        is reserved for hedge-free runs: hedging orders cancellations
-        against the all-device advance, which this form interleaves.
-        """
-        device.advance_to(t)
-        run = device.run
-        name = device.name
-        start = self._served_cursor[name]
-        if len(run.served) > start:
-            for record in run.served[start:]:
-                self._on_served(device, record)
-            self._served_cursor[name] = len(run.served)
-        start = self._dropped_cursor[name]
-        if len(run.dropped) > start:
-            for index, kind in run.dropped[start:]:
-                self._on_dropped(device, run.requests[index].request_id,
-                                 kind, t)
-            self._dropped_cursor[name] = len(run.dropped)
 
     # -- brownout & hedging ---------------------------------------------
     def _pressure(self, t: float) -> float:
@@ -690,12 +685,7 @@ class FleetGateway:
                           session=session, prefix_tokens=prefix)
             self._outstanding[device.name] += 1
             self._outstanding_total += 1
-            breaker = self.health[device.name].breaker
-            before = breaker.state
-            breaker.allow(t)
-            if (before is not BreakerState.CLOSED
-                    or breaker.state is not before):
-                self._topo_bump()
+            self._allow(device, t)
             copies.add(device.name)
             self._hedge_count[rid] = self._hedge_count.get(rid, 0) + 1
             self._hedge_target[rid] = device.name
@@ -727,28 +717,44 @@ class FleetGateway:
                     device.engine.power.idle_power()))
 
     def _evacuate_drain(self, name: str, t: float) -> None:
-        """Move an expired drain's leftovers to the rest of the fleet.
-
-        Unlike a crash evacuation this is *planned*: no health failure
-        is recorded and no re-route attempt is consumed — the request
-        did nothing wrong.  Dispositions are conserved because every
-        orphan is re-injected through the normal routing path.
-        """
+        """Move an expired drain's leftovers to the rest of the fleet."""
         device = self._by_name[name]
         orphans = device.run.evacuate()
-        self._outstanding[name] -= len(orphans)
-        self._outstanding_total -= len(orphans)
         device.evacuated += len(orphans)
         self.autoscale.drain_evacuated(len(orphans))
+        self._reroute(device, orphans, t, crash=False)
+
+    def _reroute(self, device: FleetDevice, orphans, t: float, *,
+                 crash: bool) -> None:
+        """Send a device's evacuated work back through routing.
+
+        An orphan whose hedge copy survives elsewhere, or that already
+        has a disposition, is not re-routed.  A crash costs each orphan
+        a health failure and one of its ``max_reroutes`` attempts; a
+        planned drain evacuation costs neither — the request did
+        nothing wrong.  Dispositions are conserved because every orphan
+        is re-injected through the normal routing path.
+        """
+        self._outstanding[device.name] -= len(orphans)
+        self._outstanding_total -= len(orphans)
         for request, state in orphans:
             rid = request.request_id
+            if crash:
+                self.health[device.name].observe_failure(t)
             copies = self._copies.get(rid)
             if copies is not None:
-                copies.discard(name)
+                copies.discard(device.name)
                 if copies:
                     continue  # a hedge copy survives elsewhere
             if rid in self._disposition:
                 continue
+            if crash:
+                attempts = self._attempts.get(rid, 0) + 1
+                self._attempts[rid] = attempts
+                if attempts > self.max_reroutes:
+                    self._finish(rid, "failed")
+                    continue
+                self.rerouted += 1
             session, prefix = self._session_of.get(rid, (None, 0))
             self._route(
                 FleetRequest(
@@ -767,44 +773,17 @@ class FleetGateway:
             return  # schedule names a device not in this fleet
         self.health[device.name].observe_failure(t)
         orphans = device.crash(t, fault.end_s)
-        self._outstanding[device.name] -= len(orphans)
-        self._outstanding_total -= len(orphans)
         # Availability changed (and possibly breaker state, via the
-        # per-orphan failure observations below, which run after this
-        # bump — safe, because a down device is excluded from the pool
-        # regardless of its breaker).
+        # per-orphan failure observations in the re-route, which run
+        # after this bump — safe, because a down device is excluded
+        # from the pool regardless of its breaker).
         self._topo_bump()
         if self.autoscale is not None:
             # A crash during DRAINING ends the drain (its orphans are
-            # re-routed below through PR 5's evacuation path); a crash
-            # during WAKING aborts the wake.
+            # re-routed below like any crash's); a crash during WAKING
+            # aborts the wake.
             self.autoscale.on_crash(t, device.name)
-        for request, state in orphans:
-            rid = request.request_id
-            self.health[device.name].observe_failure(t)
-            copies = self._copies.get(rid)
-            if copies is not None:
-                copies.discard(device.name)
-                if copies:
-                    continue  # a hedge copy survives elsewhere
-            if rid in self._disposition:
-                continue
-            attempts = self._attempts.get(rid, 0) + 1
-            self._attempts[rid] = attempts
-            if attempts > self.max_reroutes:
-                self._finish(rid, "failed")
-                continue
-            session, prefix = self._session_of.get(rid, (None, 0))
-            self.rerouted += 1
-            self._route(
-                FleetRequest(
-                    request=request,
-                    arrival_s=state.first_arrival_s,
-                    deadline_s=state.deadline_s,
-                    session=session,
-                    prefix_tokens=prefix,
-                ),
-                t, ready_s=t + self.reroute_backoff_s)
+        self._reroute(device, orphans, t, crash=True)
 
     def _on_arrival(self, freq: FleetRequest, t: float) -> None:
         rid = freq.request.request_id
@@ -835,27 +814,20 @@ class FleetGateway:
         by ``drain_limit_s`` and then force-drains, so a sick fleet
         ends the run instead of deadlocking.
         """
-        if (self.brownout is None and self.hedge is None
-                and self.autoscale is None):
-            for device in self.devices:
-                device.drain()
-            return max((d.run.now for d in self.devices), default=t)
+        ticking = (self.brownout is not None or self.hedge is not None
+                   or self.autoscale is not None)
         deadline = t + self.drain_limit_s
-        while any(d.outstanding_requests for d in self.devices):
-            if t >= deadline:
-                for device in self.devices:
-                    device.drain()
-                break
+        while (ticking and t < deadline
+               and any(d.outstanding_requests for d in self.devices)):
             t += self.drain_tick_s
-            for device in self.devices:
-                device.advance_to(t)
-            self._poll(t)
-            self._maybe_hedge(t)
+            self._sweep(t)
             if self.brownout is not None:
                 self.brownout.observe(t, self._pressure(t))
             if self.autoscale is not None:
                 self._autoscale_tick(t)
-        return max((d.run.now for d in self.devices), default=t)
+        for device in self.devices:
+            device.drain()
+        return max(d.run.now for d in self.devices)
 
     # -- the vector fast path --------------------------------------------
     def vector_eligible(self) -> bool:
@@ -876,7 +848,6 @@ class FleetGateway:
                 and self.brownout is None
                 and self.hedge is None
                 and self.autoscale is None
-                and not self._tiering_active
                 and all(d.vector_eligible for d in self.devices))
 
     def _run_vector(self, stream: "list[FleetRequest] | tuple[FleetRequest, ...]"
@@ -905,7 +876,7 @@ class FleetGateway:
         shares: list[list[FleetRequest]] = [[] for _ in self.devices]
         for k, (_, freq) in enumerate(arrivals):
             shares[k % len(self.devices)].append(freq)
-        outcomes = []
+        reports = []
         for device, share in zip(self.devices, shares):
             requests = [f.request for f in share]
             arrival_s = np.array([f.arrival_s for f in share],
@@ -922,22 +893,10 @@ class FleetGateway:
                 raise VectorFallback(
                     "completion latency reached the breaker spike "
                     "threshold; the scalar oracle owns breaker dynamics")
-            outcomes.append(DeviceOutcome(
-                name=device.name,
-                model=device.spec.model,
-                power_mode=device.spec.power_mode,
-                report=report,
-                crashes=0,
-                evacuated=0,
-                prefix_hits=0,
-                prefix_misses=0,
-            ))
-        return FleetReport(
-            policy=self.policy,
-            offered=len(stream),
-            rerouted=0,
-            devices=tuple(outcomes),
-        )
+            reports.append(report)
+        # The devices never ran, so their crash, evacuation and prefix
+        # counters, like every gateway counter, still read zero.
+        return self._fleet_report(len(stream), reports)
 
     # -- the population-scale trace driver -------------------------------
     def trace_eligible(self) -> bool:
@@ -957,7 +916,6 @@ class FleetGateway:
                 and self.brownout is None
                 and self.hedge is None
                 and self.autoscale is None
-                and not self._tiering_active
                 and all(d.trace_eligible for d in self.devices))
 
     def run_trace(self, trace, chunk_size: int = 65536, *,
@@ -1238,12 +1196,28 @@ class FleetGateway:
         TieringConfig`), ``stream`` must instead be a sequence of
         :class:`~repro.workloads.agentic.DagJob` items: each job is
         expanded into a plan → branches → verify request DAG served
-        through this same routing/disposition machinery (see
-        :meth:`_run_tiered`).  ``tiering=None`` leaves every untiered
-        code path — and its reports — byte-identical.
+        through the same scalar event loop and routing/disposition
+        machinery (see :meth:`_run_scalar`).  Tiering brings its own
+        load ladder, so it rejects brownout, hedging and autoscaling.
+        ``tiering=None`` leaves every untiered code path — and its
+        reports — byte-identical.
         """
         if tiering is not None:
-            return self._run_tiered(stream, tiering)
+            from repro.tiering.dag import DagRun
+
+            if (self.brownout is not None or self.hedge is not None
+                    or self.autoscale is not None):
+                raise ValueError(
+                    "tiered serving brings its own load ladder; construct "
+                    "the gateway with brownout=None, hedge=None, "
+                    "autoscale=None")
+            self.last_mode = "scalar"
+            try:
+                return self._run_scalar(stream, DagRun(
+                    tiering, energy_quote=self._tier_energy_quote))
+            finally:
+                self._tier_pref = {}
+                self._tier_out_tokens = {}
         if self.mode != "scalar":
             eligible = self.vector_eligible()
             if self.mode == "vector" and not eligible:
@@ -1261,103 +1235,137 @@ class FleetGateway:
         self.last_mode = "scalar"
         return self._run_scalar(stream)
 
-    def _run_scalar(self, stream: "list[FleetRequest] | tuple[FleetRequest, ...]"
-                    ) -> FleetReport:
-        """The scalar oracle: the merged per-event co-simulation loop."""
-        arrivals = sorted(enumerate(stream),
-                          key=lambda pair: (pair[1].arrival_s, pair[0]))
-        # Merge arrivals with scheduled outages (crashes and flap
-        # cycles); at equal times an outage fires first so an arrival
-        # never routes to a device dying at that same instant.
-        events: list[tuple[float, int, int, object]] = []
-        for order, (_, freq) in enumerate(arrivals):
-            self._session_of[freq.request.request_id] = (
-                freq.session, freq.prefix_tokens)
-            events.append((freq.arrival_s, 1, order, freq))
+    def _run_scalar(self, stream, dag=None) -> FleetReport:
+        """The scalar oracle: the merged per-event co-simulation loop.
+
+        One heap holds every event, keyed ``(t, priority, seq)``:
+        scheduled outages (priority 0, so an arrival never routes to a
+        device dying at that same instant), arrivals (1), and ticks (2)
+        — autoscale ticks laid out up front over the whole event span,
+        or, in a tiered run, tier ticks pushed lazily while DAG work
+        remains.  ``seq`` numbers each source in its own order, so equal
+        times resolve deterministically and payloads never compare.
+        Each event runs one :meth:`_sweep` and then its handler.
+
+        With ``dag`` (a :class:`~repro.tiering.dag.DagRun`), ``stream``
+        holds DAG jobs: each arrival admits through the coordinator (its
+        hysteretic ladder observes gateway pressure exactly where
+        brownout would), root stages inject at once, and after every
+        event dependent stages release once each dependency has a
+        terminal disposition — so release times are deterministic.
+        Conservation counts DAG children: ``offered`` is the total child
+        count, and jobs shed whole at admission dispose each planned
+        child as a gateway shed.
+        """
+        seq = itertools.count()
+        if dag is None:
+            arrivals = sorted(stream, key=lambda f: f.arrival_s)
+            for freq in arrivals:
+                self._session_of[freq.request.request_id] = (
+                    freq.session, freq.prefix_tokens)
+        else:
+            arrivals = sorted(stream, key=lambda j: (j.arrival_s, j.job_id))
+            limit = (max((j.arrival_s for j in arrivals), default=0.0)
+                     + self.drain_limit_s)
+        events = [(a.arrival_s, 1, next(seq), a) for a in arrivals]
         if self.faults is not None:
-            for order, fault in enumerate(self.faults.downs()):
-                events.append((fault.start_s, 0, order, fault))
+            events += [(fault.start_s, 0, next(seq), fault)
+                       for fault in self.faults.downs()]
         if self.autoscale is not None and events:
-            # Synthetic controller ticks over the whole event span —
-            # deterministic because every event time is known up front
+            # Deterministic because every event time is known up front
             # (the drain loop keeps ticking past the last one).
             step = self.autoscale.config.evaluate_every_s
             last = max(e[0] for e in events)
-            for k in range(1, int(last / step) + 2):
-                events.append((k * step, 2, k, None))
-        events.sort(key=lambda e: (e[0], e[1], e[2]))
+            events += [(k * step, 2, next(seq), None)
+                       for k in range(1, int(last / step) + 2)]
+        heapq.heapify(events)
 
         t = 0.0
-        if self.legacy_routing or self.hedge is not None:
-            for t, priority, _, payload in events:
-                for device in self.devices:
-                    device.advance_to(t)
-                self._poll(t)
-                self._maybe_hedge(t)
-                if priority == 0:
-                    self._on_down_event(payload, t)
-                elif priority == 1:
-                    self._on_arrival(payload, t)
-                else:
+        while events:
+            t, priority, _, payload = heapq.heappop(events)
+            self._sweep(t)
+            if priority == 0:
+                self._on_down_event(payload, t)
+            elif priority == 2:
+                if self.autoscale is not None:
                     self._autoscale_tick(t)
-        else:
-            # Fused sweep: one pass advancing and polling each busy
-            # device.  Skipping idle devices is exact — ``run_until``
-            # never moves the clock of a run with no work, and outcome
-            # records only appear on devices that ran.  Heartbeats are
-            # dropped here (see :meth:`_advance_poll`).
-            outstanding = self._outstanding
-            devices = self.devices
-            for t, priority, _, payload in events:
-                for device in devices:
-                    if outstanding[device.name]:
-                        self._advance_poll(device, t)
-                if priority == 1:
-                    self._on_arrival(payload, t)
-                elif priority == 0:
-                    self._on_down_event(payload, t)
-                else:
-                    self._autoscale_tick(t)
+            elif dag is None:
+                self._on_arrival(payload, t)
+            else:
+                self._on_job(dag, payload, t)
+            if dag is None:
+                continue
+            for freq, models in dag.ready_children(
+                    self._disposition, self._tier_out_tokens, t):
+                self._tier_inject(freq, models, t)
+            if dag.done() and not self._outstanding_total:
+                continue
+            if t > limit:
+                # Safety valve: a sick fleet must end the run, not
+                # deadlock.  Unreleased stages shed explicitly so
+                # conservation stays exact; the drain below finishes
+                # everything already injected.
+                for rid in dag.force_shed_remaining():
+                    self._finish(rid, "shed")
+                break
+            if not events or events[0][0] > t + dag.config.tick_s:
+                heapq.heappush(
+                    events, (t + dag.config.tick_s, 2, next(seq), None))
 
         t = self._drain_all(t)
-        self._poll(t)
-        outcomes = []
-        for device in self.devices:
-            report = device.report()
-            device.release()
-            outcomes.append(DeviceOutcome(
-                name=device.name,
-                model=device.spec.model,
-                power_mode=device.spec.power_mode,
-                report=report,
-                crashes=device.crashes,
-                evacuated=device.evacuated,
-                prefix_hits=device.run.prefix_hits,
-                prefix_misses=device.run.prefix_misses,
-            ))
-        breaker_opens = sum(
-            1 for h in self.health.values()
-            for _, _, to in h.breaker.transitions
-            if to is BreakerState.OPEN)
+        self._poll(t, self.devices)
+        if dag is None:
+            return self._fleet_report(len(stream), t=t)
+        # Settle the refunds of the stages that finished in the drain.
+        dag.ready_children(self._disposition, self._tier_out_tokens, t)
+        report = self._fleet_report(dag.children_offered, t=t)
+        return dataclasses.replace(report, tiering=dag.aggregate(report))
+
+    def _fleet_report(self, offered: int, reports=None,
+                      t: float = 0.0) -> FleetReport:
+        """Assemble the fleet report: the one place it is built.
+
+        ``reports`` are the per-device serving reports in device order;
+        None reads each device's own run and then returns its KV.  ``t``
+        is the end of the run, where the autoscale ledger closes.
+        """
+        if reports is None:
+            reports = []
+            for device in self.devices:
+                reports.append(device.report())
+                device.release()
         brownout = self.brownout
-        recovered = brownout.recovered_at() if brownout is not None else None
-        autoscale = (self.autoscale.report(t)
-                     if self.autoscale is not None else None)
         return FleetReport(
             policy=self.policy,
-            offered=len(stream),
+            offered=offered,
             rerouted=self.rerouted,
-            devices=tuple(outcomes),
+            devices=tuple(
+                DeviceOutcome(
+                    name=device.name,
+                    model=device.spec.model,
+                    power_mode=device.spec.power_mode,
+                    report=report,
+                    crashes=device.crashes,
+                    evacuated=device.evacuated,
+                    prefix_hits=device.run.prefix_hits,
+                    prefix_misses=device.run.prefix_misses,
+                )
+                for device, report in zip(self.devices, reports)),
             gateway_shed=self.gateway_shed,
             gateway_failed=self.gateway_failed,
             hedged=self.hedged,
             hedge_wins=self.hedge_wins,
-            breaker_opens=breaker_opens,
+            breaker_opens=sum(
+                1 for h in self.health.values()
+                for _, _, to in h.breaker.transitions
+                if to is BreakerState.OPEN),
             max_brownout_tier=(brownout.max_tier_reached()
                                if brownout is not None else 0),
             budget_trims=brownout.trimmed if brownout is not None else 0,
-            recovered_s=recovered,
-            autoscale=autoscale,
+            recovered_s=(brownout.recovered_at()
+                         if brownout is not None else None),
+            autoscale=(self.autoscale.report(t)
+                       if self.autoscale is not None else None),
         )
 
     # -- tiered DAG serving ----------------------------------------------
@@ -1380,130 +1388,22 @@ class FleetGateway:
             pool = list(self.devices)
         return min(d.predicted_energy_j(request, 0.0) for d in pool)
 
+    def _on_job(self, dag, job, t: float) -> None:
+        """Admit one DAG job: shed it whole or inject its root stages."""
+        verdict, out = dag.admit(job, t, self._pressure(t))
+        if verdict == "shed":
+            for rid in out:
+                self._finish(rid, "shed")
+        else:
+            for freq, models in out:
+                self._tier_inject(freq, models, t)
+
     def _tier_inject(self, freq: FleetRequest, models: tuple[str, ...],
                      t: float) -> None:
         rid = freq.request.request_id
         self._session_of[rid] = (freq.session, freq.prefix_tokens)
         self._tier_pref[rid] = models
         self._route(freq, t)
-
-    def _run_tiered(self, jobs, tiering) -> FleetReport:
-        """Serve agentic DAG jobs under a tier policy.
-
-        A dedicated scalar event loop: job arrivals admit through the
-        tier policy/budget manager (the hysteretic ladder observes
-        gateway pressure exactly where brownout would), root stages
-        inject immediately, and dependent stages release when every
-        dependency has a terminal disposition — detected on arrival,
-        fault, and ``tiering.tick_s`` tick events, so release times are
-        deterministic.  Conservation counts DAG children: ``offered``
-        is the total child count and jobs shed whole at admission
-        dispose each planned child as a gateway shed.
-        """
-        from repro.tiering.dag import DagRun
-
-        if (self.brownout is not None or self.hedge is not None
-                or self.autoscale is not None):
-            raise ValueError(
-                "tiered serving brings its own load ladder; construct "
-                "the gateway with brownout=None, hedge=None, "
-                "autoscale=None")
-        coordinator = DagRun(tiering, energy_quote=self._tier_energy_quote)
-        self._tiering_active = True
-        self._tier_pref = {}
-        self._tier_out_tokens = {}
-        try:
-            events: list[tuple[float, int, int, object]] = []
-            seq = 0
-            ordered = sorted(jobs, key=lambda j: (j.arrival_s, j.job_id))
-            for job in ordered:
-                events.append((job.arrival_s, 1, seq, job))
-                seq += 1
-            if self.faults is not None:
-                for fault in self.faults.downs():
-                    events.append((fault.start_s, 0, seq, fault))
-                    seq += 1
-            heapq.heapify(events)
-            limit = (max((j.arrival_s for j in ordered), default=0.0)
-                     + self.drain_limit_s)
-            t = 0.0
-            while events:
-                t, priority, _, payload = heapq.heappop(events)
-                for device in self.devices:
-                    if self._outstanding[device.name]:
-                        self._advance_poll(device, t)
-                if priority == 0:
-                    self._on_down_event(payload, t)
-                elif priority == 1:
-                    verdict, out = coordinator.admit(
-                        payload, t, self._pressure(t))
-                    if verdict == "shed":
-                        for rid in out:
-                            self._finish(rid, "shed")
-                    else:
-                        for freq, models in out:
-                            self._tier_inject(freq, models, t)
-                for freq, models in coordinator.ready_children(
-                        self._disposition, self._tier_out_tokens, t):
-                    self._tier_inject(freq, models, t)
-                if coordinator.done() and not self._outstanding_total:
-                    continue
-                if t > limit:
-                    # Safety valve: a sick fleet must end the run, not
-                    # deadlock.  Unreleased stages shed explicitly so
-                    # conservation stays exact.
-                    for rid in coordinator.force_shed_remaining():
-                        self._finish(rid, "shed")
-                    for device in self.devices:
-                        device.drain()
-                    t = max((d.run.now for d in self.devices), default=t)
-                    self._poll(t)
-                    coordinator.ready_children(
-                        self._disposition, self._tier_out_tokens, t)
-                    break
-                if not events or events[0][0] > t + tiering.tick_s:
-                    events_entry = (t + tiering.tick_s, 2, seq, None)
-                    heapq.heappush(events, events_entry)
-                    seq += 1
-
-            t = self._drain_all(0.0 if not ordered else t)
-            self._poll(t)
-            coordinator.ready_children(
-                self._disposition, self._tier_out_tokens, t)
-            self.last_mode = "scalar"
-            outcomes = []
-            for device in self.devices:
-                report = device.report()
-                device.release()
-                outcomes.append(DeviceOutcome(
-                    name=device.name,
-                    model=device.spec.model,
-                    power_mode=device.spec.power_mode,
-                    report=report,
-                    crashes=device.crashes,
-                    evacuated=device.evacuated,
-                    prefix_hits=device.run.prefix_hits,
-                    prefix_misses=device.run.prefix_misses,
-                ))
-            breaker_opens = sum(
-                1 for h in self.health.values()
-                for _, _, to in h.breaker.transitions
-                if to is BreakerState.OPEN)
-            interim = FleetReport(
-                policy=self.policy,
-                offered=coordinator.children_offered,
-                rerouted=self.rerouted,
-                devices=tuple(outcomes),
-                gateway_shed=self.gateway_shed,
-                gateway_failed=self.gateway_failed,
-                breaker_opens=breaker_opens,
-            )
-            return dataclasses.replace(
-                interim, tiering=coordinator.aggregate(interim))
-        finally:
-            self._tiering_active = False
-            self._tier_pref = {}
-            self._tier_out_tokens = {}
 
 
 # -- the per-device trace task (module level: process-executor picklable)

@@ -11,9 +11,9 @@ per-request decisions made under live load:
   **Deep** tier (8B/14B models with parallel reasoning branches), with a
   small-model **Verify** re-check stage.
 * :class:`TierLadder` is the hysteretic load ladder — the brownout
-  idiom from :mod:`repro.fleet.brownout` — that downgrades tiers one
-  step at a time as gateway pressure rises and restores them (with a
-  gap) as it falls.
+  controller's :class:`~repro.fleet.brownout.HysteresisLadder` — that
+  downgrades tiers one step at a time as gateway pressure rises and
+  restores them (with a gap) as it falls.
 * :class:`BudgetManager` enforces a hard per-session token (and
   optional energy) budget by walking a downgrade ladder until the
   planned DAG fits, and redistributes surplus from under-spend stages
@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+from repro.fleet.brownout import HysteresisLadder
 from repro.models.capability import has_profile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -103,15 +104,8 @@ class TieringConfig:
         if (self.session_energy_budget_j is not None
                 and self.session_energy_budget_j <= 0):
             raise ValueError("session_energy_budget_j must be positive when set")
-        if (len(self.enter_pressure) != MAX_LADDER_LEVEL
-                or len(self.exit_pressure) != MAX_LADDER_LEVEL):
-            raise ValueError(
-                f"pressure ladders must have {MAX_LADDER_LEVEL} rungs")
-        if list(self.enter_pressure) != sorted(self.enter_pressure):
-            raise ValueError("enter_pressure must be non-decreasing")
-        for enter, exit_ in zip(self.enter_pressure, self.exit_pressure):
-            if exit_ >= enter:
-                raise ValueError("exit_pressure must sit below enter_pressure")
+        HysteresisLadder.validate(self.enter_pressure, self.exit_pressure,
+                                  MAX_LADDER_LEVEL)
         if self.ladder_margin < 0:
             raise ValueError("ladder_margin must be non-negative")
         if self.tick_s <= 0:
@@ -154,39 +148,20 @@ class TierAssignment:
     load_downgraded: bool
 
 
-class TierLadder:
-    """Hysteretic load ladder (the brownout-controller idiom).
-
-    Moves at most one level per observation; the exit threshold for a
-    level sits strictly below its entry threshold so assignment churn
-    does not oscillate with the queue.
-    """
+class TierLadder(HysteresisLadder):
+    """Hysteretic load ladder: the brownout controller's
+    :class:`~repro.fleet.brownout.HysteresisLadder` on the tiering
+    thresholds."""
 
     def __init__(self, config: TieringConfig) -> None:
+        super().__init__(config.enter_pressure, config.exit_pressure)
         self.config = config
-        self.level = 0
-        self._max_level = 0
-        #: (time, from_level, to_level) movements for the report.
-        self.transitions: list[tuple[float, int, int]] = []
-
-    def observe(self, t: float, pressure: float) -> int:
-        level = self.level
-        if level < MAX_LADDER_LEVEL and pressure >= self.config.enter_pressure[level]:
-            self._move(t, level + 1)
-        elif level > 0 and pressure < self.config.exit_pressure[level - 1]:
-            self._move(t, level - 1)
-        return self.level
-
-    def _move(self, t: float, to_level: int) -> None:
-        self.transitions.append((t, self.level, to_level))
-        self.level = to_level
-        self._max_level = max(self._max_level, to_level)
 
     def should_shed(self) -> bool:
         return self.level >= MAX_LADDER_LEVEL
 
     def max_level_reached(self) -> int:
-        return self._max_level
+        return self.max_level
 
 
 class TierPolicy:

@@ -18,7 +18,7 @@ from repro.fleet import (
     DeviceHealth,
     HealthConfig,
 )
-from repro.fleet.brownout import MAX_TIER
+from repro.fleet.brownout import MAX_TIER, HysteresisLadder
 from repro.fleet.health import LEGAL_TRANSITIONS
 
 # One observation fed to the breaker: a completion (with latency),
@@ -306,3 +306,34 @@ class TestBrownoutLadder:
             BrownoutConfig(trim_fraction=0.3, deep_trim_fraction=0.6)
         with pytest.raises(ValueError):
             BrownoutConfig(min_budget_tokens=0)
+
+
+class TestHysteresisLadder:
+    """The one hysteresis ladder behind brownout tiers and tier levels."""
+
+    ENTER = (2.0, 4.0, 6.0)
+    EXIT = (1.5, 3.0, 4.5)
+
+    def ladders(self):
+        from repro.tiering import TierLadder, TieringConfig
+
+        return [
+            HysteresisLadder(self.ENTER, self.EXIT),
+            BrownoutController(BrownoutConfig(enter_pressure=self.ENTER,
+                                              exit_pressure=self.EXIT)),
+            TierLadder(TieringConfig(enter_pressure=self.ENTER,
+                                     exit_pressure=self.EXIT)),
+        ]
+
+    def test_every_ladder_moves_identically(self):
+        # Two climbs, a hold inside the hysteresis gap, a one-step
+        # descent, then a climb back.
+        trace = [(0.0, 9.0), (1.0, 9.0), (2.0, 3.5), (3.0, 2.0),
+                 (4.0, 0.0), (5.0, 0.0), (6.0, 2.0)]
+        for ladder in self.ladders():
+            levels = [ladder.observe(t, p) for t, p in trace]
+            assert levels == [1, 2, 2, 1, 0, 0, 1]
+            assert ladder.transitions == [
+                (0.0, 0, 1), (1.0, 1, 2), (3.0, 2, 1), (4.0, 1, 0),
+                (6.0, 0, 1)]
+            assert ladder.max_level == 2

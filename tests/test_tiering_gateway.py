@@ -6,7 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from repro.fleet import BrownoutConfig, FleetGateway, build_fleet
+from repro.fleet import (
+    AutoscaleConfig,
+    BrownoutConfig,
+    FleetGateway,
+    HedgeConfig,
+    build_fleet,
+)
 from repro.tiering import TIER_DEEP, TieringConfig
 from repro.workloads.agentic import agentic_suite
 
@@ -94,10 +100,15 @@ class TestReportShape:
 
 
 class TestGatewayIntegration:
-    def test_brownout_and_tiering_mutually_exclusive(self):
+    @pytest.mark.parametrize("controller", [
+        {"brownout": BrownoutConfig()},
+        {"hedge": HedgeConfig()},
+        {"autoscale": AutoscaleConfig()},
+    ], ids=["brownout", "hedge", "autoscale"])
+    def test_tiering_rejects_load_controllers(self, controller):
         fleet = build_fleet(2, mix="balanced", models=TIER_MODELS)
         gateway = FleetGateway(fleet, policy="least-outstanding",
-                               brownout=BrownoutConfig())
+                               **controller)
         suite = agentic_suite(np.random.default_rng(0), 2.0, 4)
         with pytest.raises(ValueError, match="load ladder"):
             gateway.run(suite, tiering=CONFIG)

@@ -42,6 +42,7 @@ class TestConfigValidation:
         {"fast_models": ()},
         {"deep_models": ("no-such-model",)},
         {"benchmark": "no-such-benchmark"},
+        {"exit_pressure": (1.5, 1.0, 4.5)},  # below enter, not ascending
     ])
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
